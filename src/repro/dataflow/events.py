@@ -70,6 +70,8 @@ class EventBatch:
             self.keys = np.zeros(n, dtype=np.int64)
         else:
             self.keys = np.asarray(keys, dtype=np.int64)
+        if self.values.ndim != 1 or self.keys.ndim != 1:
+            raise ValueError("values and keys must be one-dimensional")
         if not (len(self.values) == len(self.keys) == n):
             raise ValueError("logical_times, values and keys must have equal length")
         self.arrival_time = float(arrival_time)
@@ -152,6 +154,25 @@ class EventBatch:
             source_id=self.source_id,
             times_sorted=self.times_sorted,
         )
+
+    def partition(self, parts: int) -> list["EventBatch"]:
+        """Split the rows into ``parts`` batches by key modulo ``parts``.
+
+        Part ``j`` equals ``select(keys % parts == j)``: a stable subsequence
+        of the rows, so downstream per-key sums add the same values in the
+        same order as with per-part masks.  The part ids are computed once
+        and each part is one index vector taken from the three columns."""
+        keys = self.keys
+        ids = keys % parts
+        times, values = self.logical_times, self.values
+        out = []
+        for j in range(parts):
+            index = (ids == j).nonzero()[0]
+            out.append(EventBatch._raw(
+                times.take(index), values.take(index), keys.take(index),
+                self.arrival_time, self.source_id, self.times_sorted,
+            ))
+        return out
 
     @staticmethod
     def from_events(events: Sequence[Event], arrival_time: float = 0.0, source_id: int = 0) -> "EventBatch":

@@ -26,6 +26,7 @@ from typing import Any, Optional
 from repro.core.converter import ContextConverter
 from repro.core.progress_map import make_progress_map
 from repro.core.scheduler import Mailbox
+from repro.dataflow.events import EventBatch
 from repro.dataflow.graph import StageSpec
 from repro.dataflow.jobs import JobSpec
 from repro.dataflow.operators import (
@@ -47,7 +48,7 @@ class Route:
 
     ``active`` is the number of leading targets currently receiving data.
     It equals ``len(targets)`` at construction and only diverges when the
-    lifecycle controller rescales the destination stage: the transport
+    lifecycle controller rescales the destination stage: :meth:`split`
     partitions keys modulo ``active`` instead of the built parallelism, so
     a stage can shrink or grow back without rewiring any channels."""
 
@@ -60,6 +61,16 @@ class Route:
     def __post_init__(self) -> None:
         if self.active < 0:
             self.active = len(self.targets)
+
+    def split(self, batch: EventBatch) -> list[tuple[tuple, EventBatch]]:
+        """The ``(link, batch)`` pairs one emission sends, in link order:
+        a key partition per active link, or the whole batch to each."""
+        links = self.links
+        if self.active != len(links):
+            links = links[: self.active]
+        if self.key_partitioned and len(links) > 1:
+            return list(zip(links, batch.partition(len(links))))
+        return [(link, batch) for link in links]
 
 
 class OperatorRuntime:

@@ -2,8 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow.events import Event, EventBatch
+from repro.dataflow.graph import StageSpec
+from repro.runtime.topology import Route
+
+#: int64 keys: small ones of both signs, and values beyond 32 bits
+_KEYS = st.lists(
+    st.one_of(
+        st.integers(-100, 100),
+        st.integers(2**31, 2**63 - 1),
+        st.integers(-(2**63), -(2**31)),
+    ),
+    max_size=40,
+)
 
 
 class TestEventBatch:
@@ -30,6 +44,10 @@ class TestEventBatch:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError):
             EventBatch([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            EventBatch([1.0, 2.0], values=[[1.0], [2.0]])
+        with pytest.raises(ValueError):
+            EventBatch([1.0, 2.0], keys=[[0], [1]])
 
     def test_select_by_mask(self):
         batch = EventBatch([1.0, 2.0, 3.0], values=[10, 20, 30], keys=[0, 1, 0],
@@ -43,6 +61,28 @@ class TestEventBatch:
     def test_select_empty_mask(self):
         batch = EventBatch([1.0, 2.0])
         assert len(batch.select(np.zeros(2, dtype=bool))) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.integers(1, 5), keys=_KEYS, times_sorted=st.booleans())
+    @example(parts=2, keys=[], times_sorted=True)
+    @example(parts=3, keys=[], times_sorted=False)
+    def test_partition_matches_select(self, parts, keys, times_sorted):
+        n = len(keys)
+        batch = EventBatch(np.arange(n) * 0.5, values=np.arange(n) + 0.25,
+                           keys=keys, arrival_time=9.0, source_id=4,
+                           times_sorted=times_sorted)
+        pieces = batch.partition(parts)
+        assert len(pieces) == parts
+        assert sum(len(piece) for piece in pieces) == n
+        for j, piece in enumerate(pieces):
+            expected = batch.select(batch.keys % parts == j)
+            for column in ("logical_times", "values", "keys"):
+                got, want = getattr(piece, column), getattr(expected, column)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert piece.arrival_time == 9.0
+            assert piece.source_id == 4
+            assert piece.times_sorted is times_sorted
 
     def test_from_events(self):
         events = [Event(1.0, 2.0, 3), Event(4.0, 5.0, 6)]
@@ -65,3 +105,14 @@ class TestEventBatch:
         assert np.array_equal(raw.logical_times, times)
         assert raw.arrival_time == 5.0
         assert raw.max_logical_time == 2.0
+
+
+class TestRouteSplit:
+    def test_rescaled_route_repartitions_modulo_active(self):
+        stage = StageSpec(name="dst", kind="sink", parallelism=4)
+        route = Route(stage, targets=[None] * 4, key_partitioned=True,
+                      links=["l0", "l1", "l2", "l3"], active=3)
+        batch = EventBatch([1.0, 2.0, 3.0, 4.0, 5.0], keys=[0, 1, 2, 3, -1])
+        pairs = route.split(batch)
+        assert [link for link, _ in pairs] == ["l0", "l1", "l2"]
+        assert [part.keys.tolist() for _, part in pairs] == [[0, 3], [1], [2, -1]]

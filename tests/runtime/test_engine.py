@@ -74,7 +74,7 @@ class TestEndToEnd:
 
     def test_key_partitioned_matches_single_partition(self):
         results = {}
-        for parallelism in (1, 3):
+        for parallelism in (1, 2, 3, 4):
             job = simple_job(agg_parallelism=parallelism)
             engine = StreamEngine(EngineConfig(scheduler="cameo"), [job])
             for w in range(3):
@@ -91,7 +91,8 @@ class TestEndToEnd:
             engine.run(until=10.0)
             # parallel partitions emit one partial result each; totals match
             results[parallelism] = sum(_sink_values(engine, job))
-        assert results[1] == pytest.approx(results[3])
+        for parallelism in (2, 3, 4):
+            assert results[parallelism] == pytest.approx(results[1])
 
     def test_multi_node_preserves_results(self):
         values = {}
