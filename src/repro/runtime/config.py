@@ -20,7 +20,6 @@ PARTITION_FAILOVER_MODES = ("quorum", "naive")
 LINK_POLICIES = ("fair", "edf")
 BACKENDS = ("sim", "mp")
 MP_COST_MODES = ("sleep", "spin", "none")
-MP_INGEST_MODES = ("worker", "coordinator")
 
 
 @dataclass
@@ -147,15 +146,6 @@ class EngineConfig:
             ``docs/architecture.md``), making scaling genuinely CPU-bound
             on hosts with at least one core per worker, ``"none"`` skips
             cost realization (pure runtime-overhead measurement).
-        mp_ingest_mode: who replays the captured ingest trace:
-            ``"worker"`` (default) forks each worker with its shard of the
-            trace and a per-worker ``IngestDriver`` replays it against the
-            local clock — the coordinator stays out of the data path and
-            acts as pure control plane (heartbeats, fail-over, quiescence,
-            metrics merge), retaining the full ledger only for fail-over
-            replay; ``"coordinator"`` streams every entry through
-            ``INGEST`` frames from the parent process (the PR 6 behaviour,
-            useful when a single pacing clock must arbitrate sources).
         mp_poll_interval: upper bound (seconds) on every mp poll tick —
             the worker's idle ``conn_wait`` and the coordinator's
             heartbeat-draining wait are both capped by it.  Smaller values
@@ -219,7 +209,6 @@ class EngineConfig:
     shed_slack: float = 0.0
     backend: str = "sim"
     mp_cost_mode: str = "sleep"
-    mp_ingest_mode: str = "worker"
     mp_poll_interval: float = 0.02
     mp_loss_rate: float = 0.0
     mp_realtime: bool = True
@@ -236,11 +225,6 @@ class EngineConfig:
         if self.mp_cost_mode not in MP_COST_MODES:
             raise ValueError(
                 f"unknown mp cost mode {self.mp_cost_mode!r}; expected {MP_COST_MODES}"
-            )
-        if self.mp_ingest_mode not in MP_INGEST_MODES:
-            raise ValueError(
-                f"unknown mp ingest mode {self.mp_ingest_mode!r}; "
-                f"expected {MP_INGEST_MODES}"
             )
         if self.mp_poll_interval <= 0:
             raise ValueError("mp poll interval must be positive")

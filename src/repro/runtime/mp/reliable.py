@@ -1,23 +1,25 @@
-"""Wall-clock reliable delivery for the process backend.
+"""Wall-clock driver of the go-back-N channel for the process backend.
 
-The same state machine as the simulated
-:class:`~repro.runtime.recovery.ReliableDelivery` — per-channel sequence
-numbers, cumulative ``(admitted, processed)`` acknowledgements, in-order
-admission with out-of-order buffering, duplicate suppression, and
-go-back-N retransmission under capped exponential backoff — but driven by
-the wall clock and split across processes: the sender half lives in the
+The channel protocol itself — sequence numbers, cumulative ``(admitted,
+processed)`` acknowledgements, in-order admission with out-of-order
+buffering, duplicate suppression, and go-back-N replay under capped
+exponential backoff — is :class:`~repro.runtime.recovery.ReliableChannel`,
+the one definition the simulated
+:class:`~repro.runtime.recovery.ReliableDelivery` drives too.  This
+module drives it across processes: the sender half lives in the
 producing worker, the receiver half in the consuming worker, and the two
 exchange information only through ``DATA`` frame entries.
 
 There is no event heap in a worker, so retransmit timers are polled: the
-dispatch loop calls :meth:`due_retransmits` every iteration and bounds its
-idle wait by :meth:`next_deadline`.
+dispatch loop calls :meth:`MpReliableDelivery.due_retransmits` every
+iteration and bounds its idle wait by :meth:`~MpReliableDelivery.
+next_deadline`; a timer is due ``rto`` after the ``armed_at`` instant.
 
 A channel is identified by ``(msg.sender, msg.target)`` — exactly the key
 the simulated layer uses — so the per-channel FIFO guarantee (§4.3) is
 enforced end to end: the receiver admits messages to mailboxes strictly
-in sequence order, and every admission asserts ``seq == next_admit``
-(:attr:`fifo_violations` counts violations; it must stay zero).
+in sequence order (the transport's admission audit counts violations; it
+must stay zero).
 
 Loss injection (``mp_loss_rate``) drops incoming data entries *before*
 the receiver half sees them, simulating a lossy network over the real
@@ -30,42 +32,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.dataflow.messages import Message
-
-
-class _SenderState:
-    """Sender half of one channel (lives in the producing process).
-
-    Invariant (same as the sim layer): ``unacked`` holds exactly the
-    contiguous range ``(processed_w, next_seq)``."""
-
-    __slots__ = (
-        "next_seq", "unacked", "admitted_w", "processed_w",
-        "rto", "deadline", "retransmit_count",
-    )
-
-    def __init__(self, rto: float):
-        self.next_seq = 0
-        self.unacked: dict[int, Message] = {}
-        self.admitted_w = -1
-        self.processed_w = -1
-        self.rto = rto
-        self.deadline: Optional[float] = None  # armed retransmit instant
-        self.retransmit_count = 0
-
-    def needs_retransmit(self) -> bool:
-        return self.next_seq - 1 > self.admitted_w and bool(self.unacked)
-
-
-class _ReceiverState:
-    """Receiver half of one channel (lives in the consuming process)."""
-
-    __slots__ = ("next_admit", "watermark", "processed", "pending")
-
-    def __init__(self):
-        self.next_admit = 0
-        self.watermark = -1
-        self.processed: set[int] = set()
-        self.pending: dict[int, Message] = {}
+from repro.runtime.recovery import QUEUED, STALE, ReliableChannel
 
 
 class MpReliableDelivery:
@@ -81,12 +48,10 @@ class MpReliableDelivery:
         self._metrics = metrics
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
-        self._senders: dict[tuple, _SenderState] = {}
-        self._receivers: dict[tuple, _ReceiverState] = {}
+        self._senders: dict[tuple, ReliableChannel] = {}
+        self._receivers: dict[tuple, ReliableChannel] = {}
         #: channels whose cumulative ack changed since the last drain
         self._ack_dirty: set[tuple] = set()
-        #: admissions where seq != next_admit (must stay 0; see module doc)
-        self.fifo_violations = 0
         #: span recorder (None = tracing off: zero hot-path residue)
         self._tracer = None
 
@@ -98,44 +63,29 @@ class MpReliableDelivery:
     # sender side
     # ------------------------------------------------------------------
 
-    def _sender(self, key: tuple) -> _SenderState:
-        state = self._senders.get(key)
-        if state is None:
-            state = _SenderState(self._rto_initial)
-            self._senders[key] = state
-        return state
-
     def send(self, msg: Message) -> Message:
         """Assign the channel sequence number and retain for retransmit."""
-        state = self._sender((msg.sender, msg.target))
-        msg.seq = state.next_seq
-        state.next_seq += 1
-        state.unacked[msg.seq] = msg
-        if state.deadline is None:
-            state.deadline = self._clock() + state.rto
+        key = (msg.sender, msg.target)
+        state = self._senders.get(key)
+        if state is None:
+            state = self._senders[key] = ReliableChannel(self._rto_initial)
+        state.sequence(msg)
+        if state.armed_at is None:
+            state.armed_at = self._clock()
         if self._tracer is not None:
             self._tracer.on_transmit(msg, self._clock())
         return msg
 
+    def _restart_timer(self, state: ReliableChannel) -> None:
+        """Re-arm from the initial RTO while anything awaits admission."""
+        state.rto = self._rto_initial
+        state.armed_at = self._clock() if state.needs_retransmit() else None
+
     def on_ack(self, key: tuple, admitted: int, processed: int) -> None:
         state = self._senders.get(key)
-        if state is None:
-            return
-        progressed = False
-        if processed > state.processed_w:
-            for seq in range(state.processed_w + 1, processed + 1):
-                state.unacked.pop(seq, None)
-            state.processed_w = processed
-            progressed = True
-        if admitted > state.admitted_w:
-            state.admitted_w = admitted
-            progressed = True
-        if progressed:
-            # fresh news: restart the backoff clock
-            state.rto = self._rto_initial
-            state.deadline = (
-                self._clock() + state.rto if state.needs_retransmit() else None
-            )
+        if state is not None and state.ack(admitted, processed):
+            state.release(False)
+            self._restart_timer(state)  # fresh news: restart the backoff clock
 
     def due_retransmits(self, now: float) -> list[Message]:
         """Go-back-N replays for every channel whose timer expired.
@@ -143,35 +93,30 @@ class MpReliableDelivery:
         Doubles the channel's RTO (capped) and re-arms.  The caller
         enqueues the returned messages on the appropriate outboxes."""
         replays: list[Message] = []
+        metrics, tracer = self._metrics, self._tracer
         for state in self._senders.values():
-            if state.deadline is None or now < state.deadline:
+            if state.armed_at is None or now < state.armed_at + state.rto:
                 continue
-            if not state.needs_retransmit():
-                state.rto = self._rto_initial
-                state.deadline = None
+            expired = state.expire(now, self._rto_initial, self._rto_cap)
+            if expired is None:
                 continue
-            tracer = self._tracer
-            for seq in range(state.admitted_w + 1, state.next_seq):
-                msg = state.unacked.get(seq)
-                if msg is not None:
-                    state.retransmit_count += 1
-                    self._metrics.retransmissions += 1
-                    if tracer is not None:
-                        # stall since the last wire attempt, then the
-                        # replay itself becomes the new last attempt
-                        tracer.on_retransmit(msg, now)
-                        tracer.on_transmit(msg, now)
-                    replays.append(msg)
-            state.rto = min(state.rto * 2.0, self._rto_cap)
-            state.deadline = now + state.rto
+            stall, msgs = expired
+            metrics.retransmit_backoff_time += stall
+            metrics.retransmissions += len(msgs)
+            if tracer is not None:
+                for msg in msgs:
+                    # stall since the last wire attempt, then the replay
+                    # itself becomes the new last attempt
+                    tracer.on_retransmit(msg, now)
+                    tracer.on_transmit(msg, now)
+            replays.extend(msgs)
+            state.armed_at = now
         return replays
 
     def next_deadline(self) -> Optional[float]:
         """Earliest armed retransmit instant (bounds the idle wait)."""
-        deadlines = [
-            s.deadline for s in self._senders.values() if s.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
+        return min((s.armed_at + s.rto for s in self._senders.values()
+                    if s.armed_at is not None), default=None)
 
     def reset_sender(self, key: tuple) -> Optional[tuple[int, list[Message]]]:
         """Fail-over: the channel's receiver died with its node.
@@ -185,14 +130,8 @@ class MpReliableDelivery:
         if state is None:
             return None
         state.admitted_w = state.processed_w
-        state.rto = self._rto_initial
-        state.deadline = self._clock() + state.rto if state.needs_retransmit() else None
-        replays = [
-            state.unacked[seq]
-            for seq in range(state.processed_w + 1, state.next_seq)
-            if seq in state.unacked
-        ]
-        return state.processed_w + 1, replays
+        self._restart_timer(state)
+        return state.processed_w + 1, state.unadmitted()
 
     def sender_channels_to(self, targets: set) -> list[tuple]:
         """Channel keys whose destination operator is in ``targets``."""
@@ -207,57 +146,36 @@ class MpReliableDelivery:
     # receiver side
     # ------------------------------------------------------------------
 
-    def _receiver(self, key: tuple) -> _ReceiverState:
+    def _receiver(self, key: tuple) -> ReliableChannel:
         state = self._receivers.get(key)
         if state is None:
-            state = _ReceiverState()
-            self._receivers[key] = state
+            state = self._receivers[key] = ReliableChannel()
         return state
 
     def on_data(self, msg: Message) -> list[Message]:
         """One incoming data entry; returns messages admitted *in order*.
 
         Applies loss injection first (the simulated lossy network), then
-        the same dedupe / in-order admission logic as the sim layer."""
+        the channel's dedupe / in-order admission decision."""
         if self._loss_rate > 0 and self._loss_rng.random() < self._loss_rate:
             self._metrics.messages_lost_network += 1
             return []
         key = (msg.sender, msg.target)
-        state = self._receiver(key)
-        seq = msg.seq
-        if seq <= state.watermark or seq in state.processed:
+        admitted = self._receiver(key).arrive(msg)
+        if admitted is STALE or admitted is QUEUED:
             self._metrics.duplicates_dropped += 1
-            self._ack_dirty.add(key)  # refresh the sender's cumulative view
+            if admitted is STALE:
+                self._ack_dirty.add(key)  # refresh the sender's cumulative view
             return []
-        if seq < state.next_admit:
-            # already sitting in the mailbox awaiting processing
-            self._metrics.duplicates_dropped += 1
-            return []
-        if seq != state.next_admit:
-            state.pending[seq] = msg  # out of order: hold for the gap
-            return []
-        admitted = [msg]
-        state.next_admit = seq + 1
-        while True:
-            nxt = state.next_admit
-            if nxt in state.processed:
-                state.next_admit = nxt + 1  # processed before a reset
-            elif nxt in state.pending:
-                admitted.append(state.pending.pop(nxt))
-                state.next_admit = nxt + 1
-            else:
-                break
-        self._ack_dirty.add(key)
+        admitted = list(admitted)
+        if admitted:
+            self._ack_dirty.add(key)
         return admitted
 
     def install_reset(self, key: tuple, base_seq: int) -> None:
         """A sender re-incarnated the channel (fail-over): admit from
         ``base_seq``, treating everything below it as processed."""
-        state = self._receiver(key)
-        state.pending.clear()
-        state.processed.clear()
-        state.next_admit = base_seq
-        state.watermark = base_seq - 1
+        self._receiver(key).roll_back(base_seq - 1)
         self._ack_dirty.add(key)
 
     def drop_receivers_from(self, senders: set) -> None:
@@ -269,19 +187,12 @@ class MpReliableDelivery:
 
     def on_processed(self, msg: Message) -> None:
         """Final disposition of a message (executed or dropped)."""
-        state = self._receivers.get((msg.sender, msg.target))
+        key = (msg.sender, msg.target)
+        state = self._receivers.get(key)
         if state is None:
             return
-        seq = msg.seq
-        if seq == state.watermark + 1:
-            state.watermark = seq
-            processed = state.processed
-            while state.watermark + 1 in processed:
-                state.watermark += 1
-                processed.remove(state.watermark)
-        else:
-            state.processed.add(seq)
-        self._ack_dirty.add((msg.sender, msg.target))
+        state.mark_processed(msg.seq)
+        self._ack_dirty.add(key)
 
     def drain_acks(self) -> list[tuple]:
         """Coalesced cumulative acks since the last drain: one

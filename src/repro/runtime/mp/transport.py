@@ -11,12 +11,11 @@ batching that keeps the hot send path at one syscall per quantum instead
 of one per message.
 
 Ingestion entries carry a per-source sequence number and arrive either
-from the local :class:`~repro.runtime.mp.ingest.IngestDriver`
-(worker-ingest mode) or from the coordinator's ``INGEST`` frames
-(coordinator-replay mode and fail-over shard replay); the transport
-deduplicates replay overlap after a fail-over and reports per-source
-processed watermarks back in heartbeats so the coordinator can trim its
-durable ledger.
+from the local :class:`~repro.runtime.mp.ingest.IngestDriver` or, after a
+fail-over, from the coordinator's ``INGEST`` frames replaying a dead
+owner's shard; the transport deduplicates replay overlap and reports
+per-source processed watermarks back in heartbeats so the coordinator
+can trim its durable ledger.
 
 Every admission to a mailbox passes the per-channel FIFO audit: a
 sequence number at or below the previously admitted one on the same
@@ -35,6 +34,7 @@ from repro.dataflow.events import EventBatch
 from repro.dataflow.messages import Message, MessageKind
 from repro.dataflow.operators import Emission, OpAddress
 from repro.runtime.mp.frames import DATA, send_frame
+from repro.runtime.recovery import ReliableChannel
 from repro.runtime.topology import OperatorRuntime
 
 
@@ -58,9 +58,9 @@ class ProcessTransport:
         self._outboxes: dict[int, list] = {}
         self._conns: dict = {}
         self._codecs: dict = {}
-        #: per-source ingest bookkeeping:
-        #: src_key -> [last_seen_seq, processed_watermark, out_of_order_set]
-        self._ingest_state: dict[tuple, list] = {}
+        #: per-source ingest bookkeeping (receiver half of a channel whose
+        #: sender is the coordinator's ledger): src_key -> channel
+        self._ingest_state: dict[tuple, ReliableChannel] = {}
         #: per-channel FIFO audit: (sender, target) -> last admitted seq
         self._audit: dict[tuple, int] = {}
         self.fifo_violations = 0
@@ -90,13 +90,15 @@ class ProcessTransport:
         for src_key, seq, trace_time, logical_times, values, keys, sorted_times in entries:
             state = self._ingest_state.get(src_key)
             if state is None:
-                state = [-1, seq - 1, set()]
-                self._ingest_state[src_key] = state
-            if seq <= state[0]:
+                # the first entry seen sets the frontier: after a fail-over
+                # the ledger replays from the dead owner's watermark
+                state = self._ingest_state[src_key] = ReliableChannel()
+                state.roll_back(seq - 1)
+            if seq < state.next_admit:
                 # replay overlap after a fail-over: already seen
                 self._metrics.duplicates_dropped += 1
                 continue
-            state[0] = seq
+            state.next_admit = seq + 1
             self._ingest(src_key, seq, trace_time, logical_times, values,
                          keys, sorted_times)
 
@@ -142,21 +144,12 @@ class ProcessTransport:
     def note_source_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
         """Advance the per-source ingest watermark (contiguous processed)."""
         state = self._ingest_state.get(msg.sender)
-        if state is None:
-            return
-        seq = msg.seq
-        if seq == state[1] + 1:
-            state[1] = seq
-            out_of_order = state[2]
-            while state[1] + 1 in out_of_order:
-                state[1] += 1
-                out_of_order.remove(state[1])
-        else:
-            state[2].add(seq)
+        if state is not None:
+            state.mark_processed(msg.seq)
 
     def ingest_acks(self) -> dict:
         """src_key -> contiguous processed ingest watermark (heartbeats)."""
-        return {key: state[1] for key, state in self._ingest_state.items()}
+        return {key: state.watermark for key, state in self._ingest_state.items()}
 
     # ------------------------------------------------------------------
     # delivery

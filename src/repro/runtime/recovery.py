@@ -7,10 +7,12 @@ primitives, and all randomness comes from the injector's named stream):
 
 * :class:`ReliableDelivery` — per-channel sequence numbers, cumulative
   acknowledgements and capped-exponential-backoff retransmission over the
-  lossy network.  The receiver side admits messages to operator mailboxes
-  strictly in sequence order (out-of-order arrivals are buffered), so the
-  per-channel FIFO guarantee the PROGRESSMAP regression depends on (§4.3)
-  survives arbitrary loss and retransmission patterns.
+  lossy network, driving the sans-IO :class:`ReliableChannel` (the one
+  go-back-N definition, shared with the mp backend) on kernel events.
+  The receiver side admits messages to operator mailboxes strictly in
+  sequence order (out-of-order arrivals are buffered), so the per-channel
+  FIFO guarantee the PROGRESSMAP regression depends on (§4.3) survives
+  arbitrary loss and retransmission patterns.
 * :class:`FailureDetector` — heartbeat-based: every node deposits a
   heartbeat each ``interval``; a monitor sweep declares a node failed
   after ``timeout`` seconds of silence and notices it again once
@@ -56,42 +58,47 @@ from repro.runtime.topology import OperatorRuntime, _format_address
 
 INF = float("inf")
 
+#: :meth:`ReliableChannel.arrive` verdicts for a duplicate arrival
+STALE = "stale"    # already processed: the sender's ack view needs a refresh
+QUEUED = "queued"  # already admitted, still awaiting processing
 
-class _ChannelState:
-    """Both endpoints of one reliable channel (sender and inbox).
 
-    The two ends live in one object because the simulation hosts both,
-    but they exchange information only through delayed, lossy ack events:
-    sender-visible fields (``admitted_w``, ``processed_w``) are updated
-    exclusively by :meth:`ReliableDelivery._on_ack`, never directly from
-    receiver state.
+class ReliableChannel:
+    """Sans-IO go-back-N state of one reliable channel: both halves.
+
+    The one definition of the channel protocol, shared by two drivers:
+    :class:`ReliableDelivery` runs it on kernel events in simulated time,
+    :class:`~repro.runtime.mp.reliable.MpReliableDelivery` on a polled
+    wall clock across processes.  It holds no clock, wire, metrics or
+    tracer: every transition takes what it needs as arguments and hands
+    back what the driver must transmit, admit or book.  Timer *arming*
+    stays with the driver; ``armed_at`` only records the instant the
+    driver armed the live retransmit timer (``None`` = disarmed).
+
+    A driver hosts one or both halves in an instance.  The halves
+    exchange information only through cumulative ``(admitted,
+    processed)`` acks: sender fields (``admitted_w``, ``processed_w``)
+    change through :meth:`ack` (or a driver's fail-over rewind), never
+    from receiver state.
 
     Invariant: ``unacked`` holds exactly the contiguous sequence range
     ``(released_w, next_seq)`` — entries are appended at the top and only
     a prefix is released.  Without state retention ``released_w`` tracks
-    ``processed_w`` (cumulative processed-acks release immediately); with
-    retention (``state_recovery != "none"``) release is additionally
-    capped by ``stable_w``, the highest sequence covered by a checkpoint
-    of the receiver, so processed-but-uncheckpointed messages stay
-    replayable.
+    ``processed_w``; with retention release is additionally capped by
+    ``stable_w``, the highest sequence covered by a checkpoint of the
+    receiver, so processed-but-uncheckpointed messages stay replayable.
     """
 
     __slots__ = (
-        "src_rt", "dst_rt", "channel",
-        # -- sender side --
+        # -- sender half --
         "next_seq", "unacked", "admitted_w", "processed_w",
         "stable_w", "released_w",
-        "rto", "timer_armed", "timer_epoch", "timer_armed_at",
-        "backoff_time", "retransmit_count",
-        # -- receiver side --
+        "rto", "armed_at", "backoff_time", "retransmit_count",
+        # -- receiver half --
         "next_admit", "watermark", "processed", "pending",
     )
 
-    def __init__(self, src_rt: Optional[OperatorRuntime],
-                 dst_rt: OperatorRuntime, channel, rto: float):
-        self.src_rt = src_rt          # None = ingestion client (remote)
-        self.dst_rt = dst_rt
-        self.channel = channel        # FifoChannel: per-channel order clamp
+    def __init__(self, rto: float = 0.0):
         self.next_seq = 0
         self.unacked: dict[int, Message] = {}
         self.admitted_w = -1          # highest seq the sender knows reached a mailbox
@@ -99,28 +106,169 @@ class _ChannelState:
         self.stable_w = -1            # highest seq covered by a receiver checkpoint
         self.released_w = -1          # highest seq released from ``unacked``
         self.rto = rto
-        self.timer_armed = False
-        self.timer_epoch = 0
-        self.timer_armed_at = 0.0     # instant the live timer was armed
+        self.armed_at: Optional[float] = None  # instant the live timer was armed
         self.backoff_time = 0.0       # Σ stalls before retransmitting expiries
         self.retransmit_count = 0     # go-back-N replays on this channel
-        self.next_admit = 0           # next seq the inbox will admit
+        self.next_admit = 0           # next seq the receiver will admit
         self.watermark = -1           # cumulative processed (receiver truth)
         self.processed: set[int] = set()  # processed out of order, > watermark
         self.pending: dict[int, Message] = {}  # arrived out of order
+
+    # -- sender half ---------------------------------------------------
+
+    def sequence(self, msg: Message) -> bool:
+        """Stamp ``msg`` with the next sequence number and retain it for
+        replay; False when it was not retained (a rolled-back sender
+        re-emitting a sequence a receiver checkpoint already covers — a
+        pure duplicate)."""
+        seq = msg.seq = self.next_seq
+        self.next_seq = seq + 1
+        if seq > self.released_w:
+            self.unacked[seq] = msg
+            return True
+        return False
+
+    def needs_retransmit(self) -> bool:
+        """True while some sent message has not reached a mailbox."""
+        return self.next_seq - 1 > self.admitted_w and bool(self.unacked)
+
+    def ack(self, admitted: int, processed: int) -> bool:
+        """Apply a cumulative ack; True when it carried news (the driver
+        then releases and restarts its backoff clock)."""
+        progressed = False
+        if processed > self.processed_w:
+            self.processed_w = processed
+            progressed = True
+        if admitted > self.admitted_w:
+            self.admitted_w = admitted
+            progressed = True
+        return progressed
+
+    def release(self, retain: bool) -> int:
+        """Drop the releasable prefix of ``unacked``: processed sequences,
+        capped by checkpoint stability under retention.  Returns how many
+        buffered messages were dropped."""
+        bound = self.processed_w
+        if retain and self.stable_w < bound:
+            bound = self.stable_w
+        unacked = self.unacked
+        dropped = 0
+        while self.released_w < bound:
+            self.released_w += 1
+            if unacked.pop(self.released_w, None) is not None:
+                dropped += 1
+        return dropped
+
+    def unadmitted(self) -> list[Message]:
+        """The go-back-N replay range: every retained message past
+        ``admitted_w``, in sequence order."""
+        unacked = self.unacked
+        return [
+            unacked[seq] for seq in range(self.admitted_w + 1, self.next_seq)
+            if seq in unacked
+        ]
+
+    def expire(self, now: float, rto_initial: float,
+               rto_cap: float) -> Optional[tuple[float, list[Message]]]:
+        """The armed retransmit timer fired at ``now`` (it is disarmed).
+
+        Returns None when everything sent already reached a mailbox (the
+        RTO resets).  Otherwise books the arming-to-expiry stall into
+        ``backoff_time``, doubles the RTO up to ``rto_cap`` and returns
+        ``(stall, replays)`` — the go-back-N range to retransmit."""
+        armed_at, self.armed_at = self.armed_at, None
+        if not self.needs_retransmit():
+            self.rto = rto_initial
+            return None
+        stall = now - armed_at
+        self.backoff_time += stall
+        replays = self.unadmitted()
+        self.retransmit_count += len(replays)
+        self.rto = min(self.rto * 2.0, rto_cap)
+        return stall, replays
+
+    # -- receiver half -------------------------------------------------
+
+    def arrive(self, msg: Message):
+        """Admission decision for one arriving message.
+
+        Returns the messages to admit to the mailbox, in sequence order —
+        ``msg`` followed by any held successors it unblocks, or nothing
+        while ``msg`` waits for a gap — or a duplicate verdict:
+        :data:`STALE` (already processed) or :data:`QUEUED` (already
+        admitted).  The driver must consume the admissions in full."""
+        seq = msg.seq
+        if seq <= self.watermark or seq in self.processed:
+            return STALE
+        if seq < self.next_admit:
+            return QUEUED
+        if seq != self.next_admit:
+            self.pending[seq] = msg  # out of order: hold for the gap
+            return ()
+        return self._admissions(msg)
+
+    def _admissions(self, msg: Message):
+        # a generator, so ``next_admit`` passes each message only once the
+        # driver admitted it: an ack the admission triggers synchronously
+        # (instant processing) reports the frontier as it stood then
+        yield msg
+        nxt = self.next_admit = msg.seq + 1
+        processed, pending = self.processed, self.pending
+        while True:
+            if nxt in processed:
+                nxt = self.next_admit = nxt + 1  # processed before a reset
+            elif nxt in pending:
+                yield pending.pop(nxt)
+                nxt = self.next_admit = nxt + 1
+            else:
+                return
+
+    def mark_processed(self, seq: int) -> None:
+        """Final disposition of ``seq``: advance the contiguous processed
+        watermark, or remember an out-of-order completion above it."""
+        if seq == self.watermark + 1:
+            processed = self.processed
+            while seq + 1 in processed:
+                seq += 1
+                processed.remove(seq)
+            self.watermark = seq
+        else:
+            self.processed.add(seq)
+
+    def roll_back(self, watermark: int, processed=()) -> None:
+        """Receiver half back to a frontier: ``processed`` holds the
+        out-of-order completions above ``watermark`` whose effects
+        survive; everything else past it is admitted again."""
+        self.watermark = watermark
+        self.processed = set(processed)
+        self.pending.clear()
+        self.next_admit = watermark + 1
+
+
+class _ChannelState(ReliableChannel):
+    """A :class:`ReliableChannel` as the simulation hosts it: both halves
+    in one object, plus the endpoints and the kernel-timer epoch (a timer
+    event whose epoch no longer matches was superseded and is ignored)."""
+
+    __slots__ = ("src_rt", "dst_rt", "channel", "timer_epoch")
+
+    def __init__(self, src_rt: Optional[OperatorRuntime],
+                 dst_rt: OperatorRuntime, channel, rto: float):
+        super().__init__(rto)
+        self.src_rt = src_rt          # None = ingestion client (remote)
+        self.dst_rt = dst_rt
+        self.channel = channel        # FifoChannel: per-channel order clamp
+        self.timer_epoch = 0
 
     @property
     def src_node(self) -> int:
         # clients are remote machines (node id -1 never matches a node)
         return self.src_rt.node_id if self.src_rt is not None else -1
 
-    def needs_retransmit(self) -> bool:
-        """True while some sent message has not reached a mailbox."""
-        return self.next_seq - 1 > self.admitted_w and bool(self.unacked)
-
 
 class ReliableDelivery:
-    """Ack/retransmit channel layer between the transport's endpoints.
+    """Drives :class:`ReliableChannel` on kernel events: the ack/retransmit
+    layer between the transport's endpoints over the lossy network.
 
     Installed only when the run has a non-empty fault schedule; without it
     the transport keeps its original fire-and-forget delivery, so
@@ -194,12 +342,7 @@ class ReliableDelivery:
              channel, msg: Message) -> None:
         """Hand one freshly-built message to the reliable channel."""
         state = self._state(msg.sender, src_rt, dst_rt, channel)
-        msg.seq = state.next_seq
-        state.next_seq += 1
-        if msg.seq > state.released_w:
-            # (a rolled-back sender may re-emit sequences a receiver
-            # checkpoint already covers — pure duplicates, not retained)
-            state.unacked[msg.seq] = msg
+        if state.sequence(msg):
             self._unacked_count += 1
             if self._unacked_count > self.unacked_peak:
                 self.unacked_peak = self._unacked_count
@@ -235,67 +378,45 @@ class ReliableDelivery:
         sim.schedule_at_fast(arrival, self._arrive, state, msg)
 
     def _arm_timer(self, state: _ChannelState) -> None:
-        if state.timer_armed or not state.needs_retransmit():
+        if state.armed_at is not None or not state.needs_retransmit():
             return
-        state.timer_armed = True
-        state.timer_armed_at = self._sim.now
+        state.armed_at = self._sim.now
         self._sim.schedule_fast(state.rto, self._on_timer, state,
                                 state.timer_epoch)
+
+    def _restart_timer(self, state: _ChannelState) -> None:
+        """Supersede the live timer and re-arm from the initial RTO."""
+        state.timer_epoch += 1
+        state.armed_at = None
+        state.rto = self._rto_initial
+        self._arm_timer(state)
 
     def _on_timer(self, state: _ChannelState, epoch: int) -> None:
         if epoch != state.timer_epoch:
             return  # superseded by an ack-driven reset
-        state.timer_armed = False
-        if not state.needs_retransmit():
-            state.rto = self._rto_initial
+        now = self._sim.now
+        expired = state.expire(now, self._rto_initial, self._rto_cap)
+        if expired is None:
             return
         # the channel sat on this timer the whole arming-to-expiry stall:
         # charge the backoff *time* (not just a count) so attribution can
         # blame recovery delay on the right channel
-        now = self._sim.now
-        stall = now - state.timer_armed_at
-        state.backoff_time += stall
-        self._metrics.retransmit_backoff_time += stall
+        stall, replays = expired
+        metrics = self._metrics
+        metrics.retransmit_backoff_time += stall
+        metrics.retransmissions += len(replays)
         tracer = self._tracer
-        # go-back-N: replay every sent-but-unadmitted message in seq order
-        for seq in range(state.admitted_w + 1, state.next_seq):
-            msg = state.unacked.get(seq)
-            if msg is not None:
-                self._metrics.retransmissions += 1
-                state.retransmit_count += 1
-                if tracer is not None:
-                    tracer.on_retransmit(msg, now)
-                self._transmit(state, msg)
-        state.rto = min(state.rto * 2.0, self._rto_cap)
+        for msg in replays:
+            if tracer is not None:
+                tracer.on_retransmit(msg, now)
+            self._transmit(state, msg)
         self._arm_timer(state)
 
     def _on_ack(self, state: _ChannelState, admitted: int, processed: int) -> None:
         """Sender learns of receiver progress (fires after the ack delay)."""
-        progressed = False
-        if processed > state.processed_w:
-            state.processed_w = processed
-            self._release(state)
-            progressed = True
-        if admitted > state.admitted_w:
-            state.admitted_w = admitted
-            progressed = True
-        if progressed:
-            # fresh news: restart the backoff clock
-            state.timer_epoch += 1
-            state.timer_armed = False
-            state.rto = self._rto_initial
-            self._arm_timer(state)
-
-    def _release(self, state: _ChannelState) -> None:
-        """Drop the releasable prefix of ``unacked``: processed sequences,
-        additionally capped by checkpoint stability under retention."""
-        bound = state.processed_w
-        if self._retain and state.stable_w < bound:
-            bound = state.stable_w
-        while state.released_w < bound:
-            state.released_w += 1
-            if state.unacked.pop(state.released_w, None) is not None:
-                self._unacked_count -= 1
+        if state.ack(admitted, processed):
+            self._unacked_count -= state.release(self._retain)
+            self._restart_timer(state)  # fresh news: restart the backoff clock
 
     # ------------------------------------------------------------------
     # receiver side
@@ -307,45 +428,24 @@ class ReliableDelivery:
             # sender's timer keeps the message alive until fail-over
             self._metrics.messages_dropped_down += 1
             return
-        seq = msg.seq
-        if seq <= state.watermark or seq in state.processed:
+        admitted = state.arrive(msg)
+        if admitted is STALE:
             self._metrics.duplicates_dropped += 1
             self._send_ack(state)  # refresh the sender's cumulative view
-            return
-        if seq < state.next_admit:
-            # already sitting in the mailbox awaiting processing
+        elif admitted is QUEUED:
             self._metrics.duplicates_dropped += 1
-            return
-        if seq != state.next_admit:
-            state.pending[seq] = msg  # out of order: hold for the gap
-            return
-        self._admit(state.dst_rt, msg, None)
-        state.next_admit = seq + 1
-        while True:
-            nxt = state.next_admit
-            if nxt in state.processed:
-                state.next_admit = nxt + 1  # processed before a crash reset
-            elif nxt in state.pending:
-                self._admit(state.dst_rt, state.pending.pop(nxt), None)
-                state.next_admit = nxt + 1
-            else:
-                break
-        self._send_ack(state)
+        elif admitted:  # () while msg is held for a gap
+            dst_rt = state.dst_rt
+            for ready in admitted:
+                self._admit(dst_rt, ready, None)
+            self._send_ack(state)
 
     def on_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
         """Final disposition of a message (executed, shed, or poison)."""
         state = self._states.get((msg.sender, op_rt.address))
         if state is None:
             return
-        seq = msg.seq
-        if seq == state.watermark + 1:
-            state.watermark = seq
-            processed = state.processed
-            while state.watermark + 1 in processed:
-                state.watermark += 1
-                processed.remove(state.watermark)
-        else:
-            state.processed.add(seq)
+        state.mark_processed(msg.seq)
         self._send_ack(state)
 
     def _send_ack(self, state: _ChannelState) -> None:
@@ -373,8 +473,7 @@ class ReliableDelivery:
         the node's mailboxes and must be re-admitted on replay."""
         for state in self._states.values():
             if state.dst_rt.node_id == node_id:
-                state.pending.clear()
-                state.next_admit = state.watermark + 1
+                state.roll_back(state.watermark, state.processed)
 
     def on_failover(self, op_rt: OperatorRuntime) -> None:
         """The cluster announced ``op_rt``'s old node dead: senders roll
@@ -383,10 +482,7 @@ class ReliableDelivery:
         for state in self._states.values():
             if state.dst_rt is op_rt:
                 state.admitted_w = state.watermark
-                state.timer_epoch += 1
-                state.timer_armed = False
-                state.rto = self._rto_initial
-                self._arm_timer(state)
+                self._restart_timer(state)
 
     # ------------------------------------------------------------------
     # checkpoint support (driven by the CheckpointManager)
@@ -411,7 +507,7 @@ class ReliableDelivery:
             stable = stable_by_sender.get(sender)
             if stable is not None and stable > state.stable_w:
                 state.stable_w = stable
-                self._release(state)
+                self._unacked_count -= state.release(self._retain)
 
     def rollback_receiver(self, op_rt: OperatorRuntime, ckpt_channels: dict) -> int:
         """Roll every channel into ``op_rt`` back to its checkpoint frontier.
@@ -431,19 +527,13 @@ class ReliableDelivery:
             # receiver side: delivery frontier back to the checkpoint (the
             # processed set is restored because the snapshot state already
             # contains those messages' effects — replay must skip them)
-            state.watermark = watermark
-            state.processed = set(processed)
-            state.pending.clear()
-            state.next_admit = watermark + 1
+            state.roll_back(watermark, processed)
             # sender side: resume go-back-N from the checkpoint frontier
             if state.admitted_w > watermark:
                 state.admitted_w = watermark
             if state.processed_w > watermark:
                 state.processed_w = watermark
-            state.timer_epoch += 1
-            state.timer_armed = False
-            state.rto = self._rto_initial
-            self._arm_timer(state)
+            self._restart_timer(state)
         return replayed
 
     def rollback_sender_seqs(self, op_rt: OperatorRuntime, out_seqs: dict) -> None:

@@ -24,7 +24,6 @@ class TestValidation:
         ("starvation_aging", -0.1),
         ("backend", "threads"),
         ("mp_cost_mode", "burn"),
-        ("mp_ingest_mode", "client"),
         ("mp_poll_interval", 0.0),
         ("mp_poll_interval", -0.01),
         ("mp_loss_rate", 1.0),
@@ -37,7 +36,6 @@ class TestValidation:
     def test_mp_knob_defaults(self):
         config = EngineConfig()
         assert config.mp_cost_mode == "sleep"
-        assert config.mp_ingest_mode == "worker"
         assert config.mp_poll_interval > 0
 
 

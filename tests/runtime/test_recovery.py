@@ -1,14 +1,19 @@
 """Tests for the recovery layer: reliable channels, failure detection,
 crash fail-over, deadline shedding and exception injection.
 
-The channel-layer property test drives :class:`ReliableDelivery` directly
-over a lossy link (no engine) and asserts the §4.3 per-channel FIFO
-guarantee survives arbitrary loss and retransmission; the rest exercise
-the full engine under small fault schedules.
+The channel-layer property test drives the go-back-N channel directly
+over a lossy link (no engine), once through each driver — the sim's
+:class:`ReliableDelivery` on kernel events and two
+:class:`MpReliableDelivery` halves on a polled fake clock — and asserts
+the §4.3 per-channel FIFO guarantee survives arbitrary loss and
+retransmission; the rest exercise the full engine under small fault
+schedules.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +26,7 @@ from repro.dataflow.messages import Message
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine
+from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.recovery import FailureDetector, ReliableDelivery
 from repro.sim.faults import (
     ChannelLoss,
@@ -80,19 +86,69 @@ def _drive_lossy_channel(loss_rate: float, seed: int, count: int):
     return admitted, reliable
 
 
+def _drive_mp_lossy_channel(loss_rate: float, seed: int, count: int):
+    """The same channel through the mp driver: a sender and a receiver
+    :class:`MpReliableDelivery` over a fake clock and a seeded in-memory
+    wire (FIFO, 1 ms transit) that drops data and ack entries alike."""
+    clock = SimpleNamespace(now=0.0)
+    sender = MpReliableDelivery(lambda: clock.now, rto=0.05, rto_cap=0.8,
+                                metrics=MetricsHub())
+    receiver = MpReliableDelivery(lambda: clock.now, rto=0.05, rto_cap=0.8,
+                                  metrics=MetricsHub())
+    rng = np.random.default_rng(seed)
+    wire: list = []  # heap of (arrival, order, entry)
+    order = itertools.count()
+    admitted: list[tuple[float, int]] = []
+
+    def transmit(entry) -> None:
+        if rng.random() >= loss_rate:
+            heapq.heappush(wire, (clock.now + 0.001, next(order), entry))
+
+    sends = [i * 0.01 for i in range(count)]
+    while clock.now < 3000.0:
+        due = [t for t in (sends[0] if sends else None,
+                           wire[0][0] if wire else None,
+                           sender.next_deadline()) if t is not None]
+        if not due:
+            break
+        clock.now = min(due)
+        while sends and sends[0] <= clock.now:
+            sends.pop(0)
+            transmit(("msg", sender.send(
+                Message(target=("job", "dst", 0), sender=("job", "src", 0)))))
+        for msg in sender.due_retransmits(clock.now):
+            transmit(("msg", msg))
+        while wire and wire[0][0] <= clock.now:
+            entry = heapq.heappop(wire)[2]
+            if entry[0] == "ack":
+                sender.on_ack(*entry[1:])
+                continue
+            for msg in receiver.on_data(entry[1]):
+                admitted.append((clock.now, msg.seq))
+                receiver.on_processed(msg)  # instant processing
+        for ack in receiver.drain_acks():
+            transmit(("ack", *ack))
+    return admitted, sender.outstanding_total()
+
+
+@pytest.mark.parametrize("driver", ("sim", "mp"))
 @settings(max_examples=40, deadline=None)
 @given(
     loss_rate=st.floats(min_value=0.0, max_value=0.8),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     count=st.integers(min_value=1, max_value=30),
 )
-def test_fifo_survives_arbitrary_loss(loss_rate, seed, count):
+def test_fifo_survives_arbitrary_loss(driver, loss_rate, seed, count):
     """Ack/retransmit over a lossy channel must deliver every message to
     the mailbox exactly once and strictly in sequence order (§4.3)."""
-    admitted, reliable = _drive_lossy_channel(loss_rate, seed, count)
+    if driver == "sim":
+        admitted, reliable = _drive_lossy_channel(loss_rate, seed, count)
+        unacked = reliable.unacked_total()
+    else:
+        admitted, unacked = _drive_mp_lossy_channel(loss_rate, seed, count)
     seqs = [seq for _, seq in admitted]
     assert seqs == list(range(count))  # complete, in-order, exactly-once
-    assert reliable.unacked_total() == 0  # retransmit buffers fully drained
+    assert unacked == 0  # retransmit buffers fully drained
 
 
 @settings(max_examples=10, deadline=None)
